@@ -137,7 +137,7 @@ func BenchmarkClaimBuilding(b *testing.B) {
 // BenchmarkAugmentedExport measures N-Triples serialisation of the final KB.
 func BenchmarkAugmentedExport(b *testing.B) {
 	res := core.Run(core.DefaultConfig())
-	triples := res.Augmented.All()
+	triples := res.Augmented
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -264,7 +264,7 @@ func BenchmarkSupervisedPipeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunContext(ctx, cfg)
-		if err != nil || res.Augmented.Len() == 0 {
+		if err != nil || len(res.Augmented) == 0 {
 			b.Fatalf("pipeline failed: %v", err)
 		}
 	}
@@ -283,7 +283,7 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := obs.NewRun()
 		res, err := core.RunContext(obs.Into(context.Background(), run), cfg)
-		if err != nil || res.Augmented.Len() == 0 {
+		if err != nil || len(res.Augmented) == 0 {
 			b.Fatalf("pipeline failed: %v", err)
 		}
 		rr, err := run.Report(res.Health())
@@ -371,7 +371,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunContext(ctx, cfg)
-				if err != nil || res.Augmented.Len() == 0 {
+				if err != nil || len(res.Augmented) == 0 {
 					b.Fatalf("pipeline failed: %v", err)
 				}
 			}

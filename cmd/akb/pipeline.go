@@ -180,10 +180,10 @@ func cmdExport(args []string) error {
 		fmt.Fprintf(os.Stderr, "exported %d statements as N-Quads\n", len(res.Statements))
 		return nil
 	}
-	if err := rdf.WriteNTriples(w, res.Augmented.All()); err != nil {
+	if err := rdf.WriteNTriples(w, res.Augmented); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "exported %d triples\n", res.Augmented.Len())
+	fmt.Fprintf(os.Stderr, "exported %d triples\n", len(res.Augmented))
 	return nil
 }
 

@@ -76,12 +76,18 @@ func main() {
 	fmt.Println("\n== Knowledge fusion ==")
 	fmt.Printf("  method: %s\n", res.Fused().Method)
 	fmt.Printf("  %s\n", res.FusionMetrics)
-	fmt.Printf("  augmented KB: %d triples\n", res.Augmented.Len())
+	fmt.Printf("  augmented KB: %d triples\n", len(res.Augmented))
 
 	// Show a handful of fused facts about one entity.
 	entity := res.World.EntityNames("Film")[0]
 	fmt.Printf("\n== Sample: fused knowledge about %q ==\n", entity)
-	triples := res.Augmented.Match(extract.EntityIRI(entity), rdf.Term{}, rdf.Term{})
+	subject := extract.EntityIRI(entity)
+	var triples []rdf.Triple
+	for _, t := range res.Augmented {
+		if t.Subject == subject {
+			triples = append(triples, t)
+		}
+	}
 	for i, t := range triples {
 		if i == 8 {
 			fmt.Printf("  ... and %d more\n", len(triples)-8)

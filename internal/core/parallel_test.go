@@ -36,9 +36,9 @@ func assertResultsEqual(t *testing.T, serial, parallel *Result, label string) {
 	if !reflect.DeepEqual(parallel.SeedSets, serial.SeedSets) {
 		t.Errorf("%s: seed sets differ", label)
 	}
-	if parallel.Augmented.Len() != serial.Augmented.Len() {
+	if len(parallel.Augmented) != len(serial.Augmented) {
 		t.Errorf("%s: augmented KB differs (%d vs %d triples)", label,
-			parallel.Augmented.Len(), serial.Augmented.Len())
+			len(parallel.Augmented), len(serial.Augmented))
 	}
 }
 

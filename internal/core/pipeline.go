@@ -28,6 +28,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -231,9 +232,9 @@ type Result struct {
 	fused *fusion.Result
 	// FusionMetrics scores the fused knowledge against ground truth.
 	FusionMetrics eval.Metrics
-	// Augmented is the final KB: accepted triples attached to the Freebase
-	// stand-in's store.
-	Augmented *rdf.Store
+	// Augmented is the final KB: every accepted truth of every fusion
+	// decision as a triple, deduplicated and sorted by rdf.Triple.Compare.
+	Augmented []rdf.Triple
 	// stages holds per-stage statistics in execution order; read them
 	// through Stats().
 	stages []StageStat
@@ -862,21 +863,28 @@ func (p *pipelineRun) fuse(ctx context.Context) error {
 	return nil
 }
 
-// augment attaches accepted triples to the Freebase stand-in's store.
+// augment collects the accepted truths of every fusion decision into the
+// final KB as one sorted, deduplicated triple slice.
 func (p *pipelineRun) augment(ctx context.Context) error {
 	res := p.res
-	res.Augmented = rdf.NewStore()
+	n := 0
+	for _, d := range res.fused.Decisions {
+		n += len(d.Truths)
+	}
+	triples := make([]rdf.Triple, 0, n)
 	for _, d := range res.fused.Decisions {
 		for _, v := range d.Truths {
-			res.Augmented.Add(rdf.T(d.Item.Subject, d.Item.Predicate, v))
+			triples = append(triples, rdf.T(d.Item.Subject, d.Item.Predicate, v))
 		}
 	}
-	obs.Reg(ctx).Counter("akb_pipeline_augmented_triples_total").Add(int64(res.Augmented.Len()))
-	obs.Current(ctx).AnnotateInt("statements", int64(res.Augmented.Len()))
+	slices.SortFunc(triples, rdf.Triple.Compare)
+	res.Augmented = slices.Compact(triples)
+	obs.Reg(ctx).Counter("akb_pipeline_augmented_triples_total").Add(int64(len(res.Augmented)))
+	obs.Current(ctx).AnnotateInt("statements", int64(len(res.Augmented)))
 	p.setStat(StageAugment, StageStat{
 		Stage:      StageAugment,
-		Detail:     "accepted triples attached to Freebase",
-		Statements: res.Augmented.Len(),
+		Detail:     "accepted truths as sorted triples",
+		Statements: len(res.Augmented),
 		Precision:  -1,
 	})
 	return nil

@@ -164,16 +164,6 @@ func (p TagPath) String() string {
 	return b.String()
 }
 
-// Steps returns the path flattened into a single step sequence used by the
-// similarity metric: up tags, apex, down tags.
-func (p TagPath) Steps() []string {
-	steps := make([]string, 0, len(p.Up)+1+len(p.Down))
-	steps = append(steps, p.Up...)
-	steps = append(steps, p.Apex)
-	steps = append(steps, p.Down...)
-	return steps
-}
-
 // Len returns the number of steps in the path.
 func (p TagPath) Len() int { return len(p.Up) + 1 + len(p.Down) }
 
@@ -182,12 +172,19 @@ func (p TagPath) Equal(q TagPath) bool {
 	return p.Normalize().String() == q.Normalize().String()
 }
 
+// stackSteps is the normalised path length Similarity scores without
+// allocating; template paths are far shorter, and longer ones fall back to
+// the heap.
+const stackSteps = 16
+
 // Similarity returns a structural similarity in [0, 1] between two tag
-// paths: 1 - editDistance/maxLen over the normalised step sequences. Paths
-// from the same page template typically differ by zero or one step (an extra
-// wrapper), scoring >= 0.8; unrelated paths score much lower.
+// paths: 1 - editDistance/maxLen over the normalised step sequences (up
+// tags, apex, down tags). Paths from the same page template typically
+// differ by zero or one step (an extra wrapper), scoring >= 0.8; unrelated
+// paths score much lower.
 func Similarity(p, q TagPath) float64 {
-	a, b := p.Normalize().Steps(), q.Normalize().Steps()
+	var abuf, bbuf [stackSteps]string
+	a, b := p.appendNormSteps(abuf[:0]), q.appendNormSteps(bbuf[:0])
 	maxLen := len(a)
 	if len(b) > maxLen {
 		maxLen = len(b)
@@ -199,6 +196,23 @@ func Similarity(p, q TagPath) float64 {
 	return 1 - float64(d)/float64(maxLen)
 }
 
+// appendNormSteps appends the steps of p.Normalize() to dst, flattened in
+// order: up tags, apex, down tags.
+func (p TagPath) appendNormSteps(dst []string) []string {
+	for _, t := range p.Up {
+		if !isNoisyStep(t) {
+			dst = append(dst, t)
+		}
+	}
+	dst = append(dst, p.Apex)
+	for _, t := range p.Down {
+		if !isNoisyStep(t) {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
 // editDistance is the Levenshtein distance over step sequences.
 func editDistance(a, b []string) int {
 	if len(a) == 0 {
@@ -207,9 +221,12 @@ func editDistance(a, b []string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
+	var pbuf, cbuf [stackSteps + 1]int
+	prev, cur := pbuf[:], cbuf[:]
+	if len(b) > stackSteps {
+		prev, cur = make([]int, len(b)+1), make([]int, len(b)+1)
+	}
+	for j := 0; j <= len(b); j++ {
 		prev[j] = j
 	}
 	for i := 1; i <= len(a); i++ {

@@ -188,3 +188,94 @@ func TestEditDistance(t *testing.T) {
 		}
 	}
 }
+
+// refSimilarity is Similarity written the plain way: Normalize, flatten
+// into a fresh step slice, and run a heap-row Levenshtein. The
+// stack-buffer Similarity must agree with it on every input.
+func refSimilarity(p, q TagPath) float64 {
+	flat := func(p TagPath) []string {
+		n := p.Normalize()
+		return append(append(append([]string{}, n.Up...), n.Apex), n.Down...)
+	}
+	a, b := flat(p), flat(q)
+	prev, cur := make([]int, len(b)+1), make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return 1 - float64(prev[len(b)])/float64(max(len(a), len(b)))
+}
+
+func TestSimilarityMatchesReference(t *testing.T) {
+	long := func(n int, tag string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = []string{tag, "div", "b", "span.k"}[i%4]
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		p, q TagPath
+	}{
+		{"identical", TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}},
+			TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}}},
+		{"noisy wrappers", TagPath{Up: []string{"b", "td"}, Apex: "tr", Down: []string{"span", "td", "i"}},
+			TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}}},
+		{"qualified steps kept", TagPath{Up: []string{"span.k", "li"}, Apex: "ul", Down: []string{"li", "span.v"}},
+			TagPath{Up: []string{"span", "li"}, Apex: "ul", Down: []string{"li", "span"}}},
+		{"empty legs", TagPath{Apex: "h1"}, TagPath{Up: []string{"td"}, Apex: "tr"}},
+		{"all noise", TagPath{Up: []string{"b", "i"}, Apex: "", Down: []string{"em"}}, TagPath{}},
+		{"one long", TagPath{Up: long(20, "td"), Apex: "table", Down: long(3, "tr")},
+			TagPath{Up: []string{"td"}, Apex: "table", Down: []string{"tr"}}},
+		{"both long", TagPath{Up: long(15, "td"), Apex: "table", Down: long(15, "tr")},
+			TagPath{Up: long(17, "li"), Apex: "table", Down: long(9, "tr")}},
+	}
+	for _, c := range cases {
+		for _, pq := range [][2]TagPath{{c.p, c.q}, {c.q, c.p}} {
+			if got, want := Similarity(pq[0], pq[1]), refSimilarity(pq[0], pq[1]); got != want {
+				t.Errorf("%s: Similarity(%v, %v) = %g, reference %g", c.name, pq[0], pq[1], got, want)
+			}
+		}
+	}
+	tags := []string{"div", "td", "tr", "table", "li", "b", "span", "span.k", "i"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		mk := func() []string {
+			out := make([]string, r.Intn(2*stackSteps))
+			for i := range out {
+				out[i] = tags[r.Intn(len(tags))]
+			}
+			return out
+		}
+		p := TagPath{Up: mk(), Apex: tags[r.Intn(len(tags))], Down: mk()}
+		q := TagPath{Up: mk(), Apex: tags[r.Intn(len(tags))], Down: mk()}
+		return Similarity(p, q) == refSimilarity(p, q)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSimilarityAllocFree(t *testing.T) {
+	p := TagPath{Up: []string{"b", "td.value", "tr"}, Apex: "table", Down: []string{"tr", "th", "span"}}
+	q := TagPath{Up: []string{"td", "tr"}, Apex: "tbody", Down: []string{"tr", "th.label"}}
+	var s float64
+	allocs := testing.AllocsPerRun(100, func() { s = Similarity(p, q) })
+	if allocs != 0 {
+		t.Errorf("Similarity allocates %.1f times per call on short paths, want 0", allocs)
+	}
+	if s <= 0 || s >= 1 {
+		t.Errorf("Similarity = %g, want in (0,1)", s)
+	}
+}

@@ -277,6 +277,13 @@ func (w *World) EntityNames(class string) []string {
 	return out
 }
 
+// EntityCount returns the number of a class's entities.
+func (w *World) EntityCount(class string) int { return len(w.entities[class]) }
+
+// EntityName returns the name of a class's i-th entity in generation order;
+// it is EntityNames(class)[i] without copying the names.
+func (w *World) EntityName(class string, i int) string { return w.entities[class][i].Name }
+
 // Spec returns the ClassSpec for a class.
 func (w *World) Spec(class string) (ClassSpec, bool) {
 	s, ok := w.specs[class]

@@ -1,6 +1,7 @@
 package querystream
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -233,5 +234,35 @@ func TestFullScaleGeneration(t *testing.T) {
 	s := Generate(w, DefaultGenConfig())
 	if s.Len() != 292839 {
 		t.Fatalf("full stream = %d records, want 292839 (29,283,918 / 100)", s.Len())
+	}
+}
+
+// TestNoiseEntityMentionAllocs pins the entity-mention noise record to the
+// one allocation its text needs: it picks the entity by index instead of
+// copying the class's name list.
+func TestNoiseEntityMentionAllocs(t *testing.T) {
+	w := smallWorld()
+	classes := w.Ontology.ClassNames()
+	seed := int64(0)
+	for rand.New(rand.NewSource(seed)).Intn(4) != 1 {
+		seed++
+	}
+	r := rand.New(rand.NewSource(seed))
+	var rec Record
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Seed(seed)
+		rec = noiseRecord(w, classes, r)
+	})
+	if allocs > 1 {
+		t.Errorf("entity-mention noise record allocates %.1f times, want <= 1", allocs)
+	}
+	found := false
+	for _, c := range classes {
+		for _, n := range w.EntityNames(c) {
+			found = found || strings.HasPrefix(rec.Text, n+" ")
+		}
+	}
+	if !found {
+		t.Errorf("noise record %q does not start with an entity name", rec.Text)
 	}
 }

@@ -340,7 +340,10 @@ func noiseBlock(r *rand.Rand) string {
 	}
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// htmlEscaper escapes the four characters that are unsafe in generated
+// element text and attribute values. It is built once: a Replacer is safe
+// for concurrent use. html.EscapeString is not used because it also
+// escapes ', which would change every generated page.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func esc(s string) string { return htmlEscaper.Replace(s) }

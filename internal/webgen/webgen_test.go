@@ -235,3 +235,19 @@ func TestLabelText(t *testing.T) {
 		t.Errorf("labelText = %q", got)
 	}
 }
+
+// TestEscMatchesPerCallReplacer holds the shared escaper equal to a
+// replacer built per call from the same four pairs; ' passes through.
+func TestEscMatchesPerCallReplacer(t *testing.T) {
+	for _, s := range []string{
+		"", "plain text", `Tom & Jerry's <b>"best"</b> & more`, "a<<b>>c&&d\"\"e''f", "&amp; already",
+	} {
+		want := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace(s)
+		if got := esc(s); got != want {
+			t.Errorf("esc(%q) = %q, want %q", s, got, want)
+		}
+	}
+	if got := esc("O'Brien"); got != "O'Brien" {
+		t.Errorf("esc must leave ' alone: got %q", got)
+	}
+}
