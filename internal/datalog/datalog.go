@@ -11,7 +11,7 @@
 //
 //   - Greedy, statistics-free planning. Clauses are ordered by
 //     selectivity estimated directly from the postings lists the store
-//     already maintains (store.CountEstimator); there is no statistics
+//     already maintains (Querier.CountEstimate); there is no statistics
 //     catalog to build, refresh or mistrust. Greedy ordering is provably
 //     good enough for pattern-shaped queries and plans in microseconds.
 //

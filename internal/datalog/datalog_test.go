@@ -426,37 +426,36 @@ func TestLimitSemantics(t *testing.T) {
 	}
 }
 
-// plainQuerier hides every fast-path interface, forcing the executor
-// and planner onto the Querier-only fallbacks (the chaos wrapper shape).
-type plainQuerier struct{ s *store.Store }
+// probeFault panics on every index probe (an entity-bound Iterate),
+// modelling a store fault that fires on a worker goroutine rather than
+// on the first clause's scan.
+type probeFault struct{ store.Querier }
 
-func (p plainQuerier) Len() int                            { return p.s.Len() }
-func (p plainQuerier) EntityCount() int                    { return p.s.EntityCount() }
-func (p plainQuerier) Classes() []string                   { return p.s.Classes() }
-func (p plainQuerier) Entity(id string) []store.Fact       { return p.s.Entity(id) }
-func (p plainQuerier) Triples(e, a string) []store.Fact    { return p.s.Triples(e, a) }
-func (p plainQuerier) Lookup(q store.Pattern) []store.Fact { return p.s.Lookup(q) }
+func (p probeFault) Iterate(q store.Pattern, yield func(store.Fact) bool) bool {
+	if q.Entity != "" {
+		panic("probe fault")
+	}
+	return p.Querier.Iterate(q, yield)
+}
 
-// TestPlainQuerierFallback proves the engine needs nothing beyond
-// store.Querier: results over a fast-path-less wrapper are byte-identical
-// to the flat store's, serial and parallel.
-func TestPlainQuerierFallback(t *testing.T) {
-	facts := pipelineFacts()
-	flat := store.New(facts)
-	ctx := context.Background()
-	for qi, q := range multiClauseQueries(flat) {
-		want, err := datalog.Run(ctx, flat, q, datalog.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 3} {
-			got, err := datalog.Run(ctx, plainQuerier{flat}, q, datalog.Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("q%d par=%d: %v", qi, par, err)
-			}
-			if !rowsEqual(got.Rows, want.Rows) || got.Total != want.Total {
-				t.Fatalf("q%d par=%d: fallback diverges from fast path", qi, par)
-			}
+// TestStorePanicReachesCaller pins panic propagation: a store fault
+// raised on a parallel worker resurfaces on the calling goroutine, where
+// the server's recovery middleware can turn it into a 500, instead of
+// killing the process.
+func TestStorePanicReachesCaller(t *testing.T) {
+	src := probeFault{store.New(pipelineFacts())}
+	q, err := datalog.Parse("?x ?a ?v . ?x ?b ?w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			datalog.Run(context.Background(), src, q, datalog.Options{Parallelism: par})
+			return nil
+		}()
+		if rec != "probe fault" {
+			t.Errorf("par=%d: recovered %v, want the probe fault", par, rec)
 		}
 	}
 }

@@ -78,7 +78,6 @@ func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts O
 type shared struct {
 	ctx     context.Context
 	src     store.Querier
-	it      store.Iterator // nil when src has no push fast path
 	steps   []execStep
 	nvars   int
 	selIdx  []int
@@ -121,7 +120,6 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		steps: make([]execStep, len(plan.Steps)),
 		limit: q.Limit,
 	}
-	sh.it, _ = src.(store.Iterator)
 
 	slot := make(map[string]int)
 	slotOf := func(v string) int {
@@ -166,7 +164,7 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 			st.keySlot = st.subs[2]
 			st.buckets = make(map[string][]store.Fact)
 			sh.buildProbes++
-			complete := sh.iterate(st.base, func(f store.Fact) bool {
+			complete := src.Iterate(st.base, func(f store.Fact) bool {
 				k := ""
 				if st.keySlot >= 0 {
 					k = f.Value
@@ -192,21 +190,6 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		sh.selIdx[i] = slot[v]
 	}
 	return sh, nil
-}
-
-// iterate streams the pattern's facts in canonical order: the store's
-// push fast path when available, otherwise a materialising Lookup
-// fallback (plain Queriers such as the chaos wrapper).
-func (sh *shared) iterate(p store.Pattern, yield func(store.Fact) bool) bool {
-	if sh.it != nil {
-		return sh.it.Iterate(p, yield)
-	}
-	for _, f := range sh.src.Lookup(p) {
-		if !yield(f) {
-			return false
-		}
-	}
-	return true
 }
 
 // runner is the mutable side of one execution stream: the single
@@ -273,7 +256,7 @@ func newRunner(sh *shared) *runner {
 // serial entry point.
 func (r *runner) scan() {
 	r.probes++
-	r.sh.iterate(r.sh.steps[0].base, r.yields[0])
+	r.sh.src.Iterate(r.sh.steps[0].base, r.yields[0])
 }
 
 // advance evaluates step d under the current binding row: substitute
@@ -314,7 +297,7 @@ func (r *runner) advance(d int) bool {
 		p.Value, p.Exact = r.row[s], true
 	}
 	r.probes++
-	return r.sh.iterate(p, r.yields[d])
+	return r.sh.src.Iterate(p, r.yields[d])
 }
 
 // emit records one complete binding: the total is always counted, the
@@ -354,29 +337,41 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 	in := make(chan batch, workers)
 	out := make(chan batchResult, workers)
 
+	// A panic on a producer or worker goroutine (a store fault) cannot be
+	// recovered by the caller's middleware; the first one is caught here
+	// and re-raised on the calling goroutine once every goroutine is done.
+	var (
+		panicOnce sync.Once
+		panicVal  any
+	)
+	catch := func() {
+		if v := recover(); v != nil {
+			panicOnce.Do(func() { panicVal = v })
+		}
+	}
+
 	var nbatch int
 	go func() {
 		defer close(in)
+		defer catch()
 		seq := 0
-		cur := firstCursor(sh)
 		buf := make([]store.Fact, 0, batchSize)
-		for {
-			f, ok := cur.Next()
-			if ok {
-				buf = append(buf, f)
+		send := func() bool {
+			select {
+			case in <- batch{seq: seq, facts: buf}:
+				seq++
+				buf = make([]store.Fact, 0, batchSize)
+				return true
+			case <-sh.ctx.Done():
+				return false
 			}
-			if (!ok || len(buf) == batchSize) && len(buf) > 0 {
-				select {
-				case in <- batch{seq: seq, facts: buf}:
-					seq++
-					buf = make([]store.Fact, 0, batchSize)
-				case <-sh.ctx.Done():
-					return
-				}
-			}
-			if !ok {
-				return
-			}
+		}
+		complete := sh.src.Iterate(sh.steps[0].base, func(f store.Fact) bool {
+			buf = append(buf, f)
+			return len(buf) < batchSize || send()
+		})
+		if complete && len(buf) > 0 {
+			send()
 		}
 	}()
 
@@ -385,6 +380,11 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				for range in {
+				}
+			}()
+			defer catch()
 			r := newRunner(sh)
 			for b := range in {
 				r.rows, r.total, r.probes, r.err = nil, 0, 0, nil
@@ -408,6 +408,9 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		if br.seq >= nbatch {
 			nbatch = br.seq + 1
 		}
+	}
+	if panicVal != nil {
+		panic(panicVal)
 	}
 	if err := sh.ctx.Err(); err != nil {
 		return nil, err
@@ -434,28 +437,4 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 	}
 	res.Truncated = res.Total > len(res.Rows)
 	return res, nil
-}
-
-// firstCursor pulls the first clause's stream: the store's pull cursor
-// when available, else a materialised Lookup.
-func firstCursor(sh *shared) store.FactCursor {
-	base := sh.steps[0].base
-	if sel, ok := sh.src.(store.Selector); ok {
-		return sel.Select(base)
-	}
-	return &sliceFactCursor{facts: sh.src.Lookup(base)}
-}
-
-type sliceFactCursor struct {
-	facts []store.Fact
-	pos   int
-}
-
-func (c *sliceFactCursor) Next() (store.Fact, bool) {
-	if c.pos >= len(c.facts) {
-		return store.Fact{}, false
-	}
-	f := c.facts[c.pos]
-	c.pos++
-	return f, true
 }

@@ -88,35 +88,6 @@ func basePattern(c Clause) store.Pattern {
 	return p
 }
 
-// estimate returns the clause's selectivity upper bound: the store's
-// postings-based CountEstimate when available (Store and Sharded both
-// provide it), otherwise a fixed preference order over the bound
-// positions so planning still works against opaque queriers.
-func estimate(src store.Querier, c Clause) int {
-	p := basePattern(c)
-	if est, ok := src.(store.CountEstimator); ok {
-		return est.CountEstimate(p)
-	}
-	// Heuristic fallback mirroring the index preference in
-	// store.candidates: more specific patterns rank earlier.
-	switch {
-	case p.Entity != "" && p.Attr != "":
-		return 4
-	case p.Entity != "":
-		return 32
-	case p.Class != "" && p.Attr != "":
-		return 1 << 10
-	case p.Value != "":
-		return 1 << 12
-	case p.Class != "":
-		return 1 << 14
-	case p.Attr != "":
-		return 1 << 16
-	default:
-		return 1 << 20
-	}
-}
-
 // PlanQuery orders the query's clauses greedily by selectivity: start
 // with the cheapest clause, then repeatedly take the cheapest clause
 // connected to the variables bound so far, falling back to the cheapest
@@ -139,7 +110,7 @@ func PlanQuery(q Query, src store.Querier) (*Plan, error) {
 	}
 	remaining := make([]cand, len(q.Clauses))
 	for i, c := range q.Clauses {
-		remaining[i] = cand{clause: c, index: i, est: estimate(src, c)}
+		remaining[i] = cand{clause: c, index: i, est: src.CountEstimate(basePattern(c))}
 	}
 	bound := make(map[string]bool)
 	plan := &Plan{Steps: make([]Step, 0, len(q.Clauses))}
@@ -180,7 +151,7 @@ func NaivePlan(q Query, src store.Querier) (*Plan, error) {
 		plan.Steps = append(plan.Steps, Step{
 			Clause:   c,
 			Strategy: strategyFor(c, bound, i == 0),
-			Estimate: estimate(src, c),
+			Estimate: src.CountEstimate(basePattern(c)),
 			Index:    i,
 		})
 		bindVars(c, bound)

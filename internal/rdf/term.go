@@ -99,11 +99,6 @@ func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
 // IsBlank reports whether the term is a blank node.
 func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
-// IsZero reports whether the term is the zero Term (an empty IRI).
-func (t Term) IsZero() bool {
-	return t.Kind == KindIRI && t.Value == "" && t.Datatype == "" && t.Lang == ""
-}
-
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
 	switch t.Kind {

@@ -48,21 +48,6 @@ func TestTermPredicates(t *testing.T) {
 	}
 }
 
-func TestTermIsZero(t *testing.T) {
-	var zero Term
-	if !zero.IsZero() {
-		t.Error("zero Term should be IsZero")
-	}
-	if IRI("x").IsZero() || Literal("").IsZero() == true && false {
-		t.Error("non-zero term reported zero")
-	}
-	// A plain empty literal is NOT the wildcard.
-	if Literal("").IsZero() {
-		// Literal("") has Kind KindLiteral, so it is not zero.
-		t.Error("empty literal must not be the wildcard")
-	}
-}
-
 func TestEscapeRoundTrip(t *testing.T) {
 	cases := []string{
 		"plain",

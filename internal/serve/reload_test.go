@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,6 +148,67 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if n := s.reg.Counter("akb_serve_panics").Value(); n != 1 {
 		t.Errorf("akb_serve_panics grew after chaos disabled: %d", n)
+	}
+}
+
+// TestChaosShardedRunsProductionPath wraps the layout production serves
+// (a sharded store) in the chaos querier. Under full fault injection a
+// datalog join — serial or parallel — fails through the same reads the
+// unwrapped store serves from, into the recovered 500; with injection
+// off, every data route answers byte-identically to an unwrapped server.
+func TestChaosShardedRunsProductionPath(t *testing.T) {
+	sharded := store.NewSharded(testStore().Facts(), 3)
+	ctl := store.NewChaosController(&resilience.FaultPlan{
+		Seed:    5,
+		Default: resilience.StageFault{FailProb: 1, Transient: true},
+	})
+	cfg := DefaultConfig()
+	cfg.WrapQuerier = ctl.Wrap
+	s := New(sharded, obs.NewRegistry(), cfg)
+	chaos := httptest.NewServer(s.Handler())
+	defer chaos.Close()
+	_, plain := testServer(t, DefaultConfig())
+
+	const join = `{"query": "?f director ?d . ?f language ?l"}`
+	for i, body := range []string{join, `{"query": "?f director ?d . ?f language ?l", "parallelism": 4}`} {
+		status, out := postDatalog(t, chaos.URL, body)
+		if status != http.StatusInternalServerError || out["status"] != float64(500) || out["error"] == nil {
+			t.Fatalf("faulted datalog %s: status = %d body = %v", body, status, out)
+		}
+		if n := s.reg.Counter("akb_serve_panics").Value(); n != int64(i+1) {
+			t.Errorf("akb_serve_panics = %d, want %d", n, i+1)
+		}
+	}
+	if ctl.Calls() == 0 {
+		t.Error("datalog never reached the chaos querier")
+	}
+
+	ctl.SetEnabled(false)
+	fetch := func(base, method, path, body string) string {
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return fmt.Sprintf("%d %s", resp.StatusCode, raw)
+	}
+	for _, r := range []struct{ method, path, body string }{
+		{"GET", "/v1/query?attr=language", ""},
+		{"GET", "/v1/query?value=China&limit=1", ""},
+		{"GET", "/v1/entity/Susie_Fang", ""},
+		{"GET", "/v1/entity/Nobody", ""},
+		{"GET", "/v1/triples/Casablanca/language", ""},
+		{"POST", "/v1/datalog", join},
+		{"POST", "/v1/datalog", `{"query": "?x ?a ?v", "parallelism": 2}`},
+	} {
+		if got, want := fetch(chaos.URL, r.method, r.path, r.body), fetch(plain.URL, r.method, r.path, r.body); got != want {
+			t.Errorf("%s %s:\n chaos %s\n plain %s", r.method, r.path, got, want)
+		}
 	}
 }
 

@@ -628,9 +628,10 @@ func toValueOut(f store.Fact) valueOut {
 
 // entityID decodes a path segment into a store entity name. Entity IRIs
 // replace spaces with underscores, so /v1/entity/Film_3 and
-// /v1/entity/Film%203 both resolve.
+// /v1/entity/Film%203 both resolve. The existence test is the exact
+// entity-only CountEstimate, so no facts are materialised for it.
 func entityID(q store.Querier, raw string) string {
-	if len(q.Entity(raw)) > 0 {
+	if q.CountEstimate(store.Pattern{Entity: raw}) > 0 {
 		return raw
 	}
 	return strings.ReplaceAll(raw, "_", " ")
@@ -784,21 +785,9 @@ func (s *Server) handleQuery(g *generation, r *http.Request) routeResult {
 			limit = n
 		}
 	}
-	// Capped lookups push the limit into the store when it supports it —
-	// a sharded querier then materialises at most limit facts per shard
-	// instead of the full result set. The fallback (full Lookup, then
-	// truncate) returns byte-identical responses.
-	var facts []store.Fact
-	var total int
-	if lq, ok := g.q.(store.LimitedQuerier); ok {
-		facts, total = lq.LookupN(q, limit)
-	} else {
-		facts = g.q.Lookup(q)
-		total = len(facts)
-		if len(facts) > limit {
-			facts = facts[:limit]
-		}
-	}
+	// The limit is pushed into the store: a sharded querier materialises
+	// at most limit facts per shard instead of the full result set.
+	facts, total := g.q.LookupN(q, limit)
 	truncated := total > len(facts)
 	if facts == nil {
 		facts = []store.Fact{}

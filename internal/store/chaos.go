@@ -11,8 +11,8 @@ import (
 // ChaosController drives deterministic fault injection on the serving
 // path. It reuses the pipeline's resilience.FaultPlan — the same seeded
 // (stage, attempt) decisions that chaos-test extraction stages — but
-// aims it at store reads: each query method consults the plan under the
-// stage name "store/<method>" and may be slowed (StageFault.Latency) or
+// aims it at store reads: each faultable read consults the plan under
+// one of the ChaosStage* names and may be slowed (StageFault.Latency) or
 // blown up (StageFault.FailProb) before the real store answers.
 //
 // Injected failures surface as panics, not error returns: the Querier
@@ -35,10 +35,12 @@ type ChaosController struct {
 	panics  atomic.Int64
 }
 
-// Stage names the chaos querier consults the plan under, one per
-// faultable Querier method. Summary methods (Len, EntityCount, Classes)
-// are never faulted: they back the health endpoints, and liveness
-// reporting must stay reliable even under full chaos.
+// Stage names the chaos querier consults the plan under. LookupN and
+// Iterate share ChaosStageLookup: both are pattern reads. Summary
+// methods (Len, EntityCount, Classes) and CountEstimate are never
+// faulted: the summaries back the health endpoints, whose liveness
+// reporting must stay reliable even under full chaos, and CountEstimate
+// is O(1) metadata like them.
 const (
 	ChaosStageEntity  = "store/entity"
 	ChaosStageTriples = "store/triples"
@@ -103,9 +105,10 @@ type chaosQuerier struct {
 	base Querier
 }
 
-func (q *chaosQuerier) Len() int          { return q.base.Len() }
-func (q *chaosQuerier) EntityCount() int  { return q.base.EntityCount() }
-func (q *chaosQuerier) Classes() []string { return q.base.Classes() }
+func (q *chaosQuerier) Len() int                    { return q.base.Len() }
+func (q *chaosQuerier) EntityCount() int            { return q.base.EntityCount() }
+func (q *chaosQuerier) Classes() []string           { return q.base.Classes() }
+func (q *chaosQuerier) CountEstimate(p Pattern) int { return q.base.CountEstimate(p) }
 
 func (q *chaosQuerier) Entity(id string) []Fact {
 	q.ctl.inject(ChaosStageEntity)
@@ -117,7 +120,12 @@ func (q *chaosQuerier) Triples(entity, attr string) []Fact {
 	return q.base.Triples(entity, attr)
 }
 
-func (q *chaosQuerier) Lookup(p Pattern) []Fact {
+func (q *chaosQuerier) LookupN(p Pattern, limit int) ([]Fact, int) {
 	q.ctl.inject(ChaosStageLookup)
-	return q.base.Lookup(p)
+	return q.base.LookupN(p, limit)
+}
+
+func (q *chaosQuerier) Iterate(p Pattern, yield func(Fact) bool) bool {
+	q.ctl.inject(ChaosStageLookup)
+	return q.base.Iterate(p, yield)
 }

@@ -21,7 +21,7 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 		fn()
 		return nil
 	}
-	rec := recovered(func() { q.Lookup(Query{Class: "Film"}) })
+	rec := recovered(func() { q.LookupN(Pattern{Class: "Film"}, 0) })
 	if rec == nil {
 		t.Fatal("FailProb=1 did not panic")
 	}
@@ -35,13 +35,16 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 	if rec := recovered(func() { q.Triples("Casablanca", "language") }); rec == nil {
 		t.Fatal("Triples not faulted")
 	}
-	if ctl.Panics() != 3 || ctl.Calls() != 3 {
-		t.Errorf("panics=%d calls=%d, want 3/3", ctl.Panics(), ctl.Calls())
+	if rec := recovered(func() { q.Iterate(Pattern{Class: "Film"}, func(Fact) bool { return true }) }); rec == nil {
+		t.Fatal("Iterate not faulted")
+	}
+	if ctl.Panics() != 4 || ctl.Calls() != 4 {
+		t.Errorf("panics=%d calls=%d, want 4/4", ctl.Panics(), ctl.Calls())
 	}
 
 	// Permanent faults panic with a string, not an error value.
 	ctl2 := NewChaosController(&resilience.FaultPlan{Seed: 7, Default: resilience.StageFault{FailProb: 1}})
-	rec = recovered(func() { ctl2.Wrap(base).Lookup(Query{Class: "Film"}) })
+	rec = recovered(func() { ctl2.Wrap(base).LookupN(Pattern{Class: "Film"}, 0) })
 	if _, isErr := rec.(error); rec == nil || isErr {
 		t.Fatalf("permanent fault panicked with %v, want plain string", rec)
 	}
@@ -58,8 +61,8 @@ func TestChaosQuerierDisableRestoresCleanReads(t *testing.T) {
 
 	// With injection off the wrapper is transparent: same answers, no
 	// panics, no latency bookkeeping.
-	got := q.Lookup(Query{Class: "Film"})
-	want := base.Lookup(Query{Class: "Film"})
+	got, _ := q.LookupN(Pattern{Class: "Film"}, 0)
+	want := base.Lookup(Pattern{Class: "Film"})
 	if len(got) != len(want) {
 		t.Fatalf("disabled chaos changed results: %d vs %d", len(got), len(want))
 	}
@@ -67,11 +70,14 @@ func TestChaosQuerierDisableRestoresCleanReads(t *testing.T) {
 		t.Errorf("disabled chaos still counted: calls=%d panics=%d slowed=%d", ctl.Calls(), ctl.Panics(), ctl.Slowed())
 	}
 
-	// Summary methods are never faulted even when enabled — they back
-	// the health endpoints.
+	// Summary methods and CountEstimate are never faulted even when
+	// enabled — they back the health endpoints and entity existence tests.
 	ctl.SetEnabled(true)
 	if q.Len() != base.Len() || q.EntityCount() != base.EntityCount() || len(q.Classes()) != len(base.Classes()) {
 		t.Error("summary methods disagree with base store")
+	}
+	if p := (Pattern{Class: "Film"}); q.CountEstimate(p) != base.CountEstimate(p) {
+		t.Error("CountEstimate disagrees with base store")
 	}
 	if ctl.Calls() != 0 {
 		t.Errorf("summary methods consumed fault budget: calls=%d", ctl.Calls())
@@ -86,7 +92,7 @@ func TestChaosQuerierLatency(t *testing.T) {
 	})
 	q := ctl.Wrap(base)
 	start := time.Now()
-	q.Lookup(Query{Class: "Film"})
+	q.LookupN(Pattern{Class: "Film"}, 0)
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("latency fault not applied: took %v", d)
 	}

@@ -1,10 +1,10 @@
 package store
 
-// Querier is the read surface of a store that the HTTP layer
-// (internal/serve) depends on. *Store implements it natively; wrappers
-// such as the chaos-injecting querier in chaos.go implement it by
-// delegation, so the serving path can be composed with fault injection
-// (or, later, sharding and remote stores) without the handlers knowing.
+// Querier is the one read surface of a store. The HTTP layer
+// (internal/serve) and the datalog executor (internal/datalog) depend on
+// it alone. *Store and *Sharded implement it natively; the chaos wrapper
+// in chaos.go implements every method by delegation, so fault injection
+// runs the same read path production serves from.
 //
 // Every method must be safe for unsynchronised concurrent use, like the
 // immutable *Store it usually wraps.
@@ -19,66 +19,22 @@ type Querier interface {
 	Entity(id string) []Fact
 	// Triples returns the accepted values for (entity, attr).
 	Triples(entity, attr string) []Fact
-	// Lookup answers a pattern; empty fields are wildcards.
-	Lookup(q Pattern) []Fact
-}
-
-// LimitedQuerier is the optional fast path for capped queries: LookupN
-// returns at most limit facts (the first in canonical order) plus the
-// true total match count. The serving layer type-asserts for it so a
-// sharded store can push the result cap down to every shard; queriers
-// that do not implement it (e.g. the chaos wrapper) fall back to a full
-// Lookup plus truncation, with identical output.
-type LimitedQuerier interface {
-	Querier
-	// LookupN answers q with at most limit facts and the total match
-	// count; limit <= 0 means unlimited.
+	// LookupN answers a pattern (empty fields are wildcards) with at
+	// most limit facts, the first in canonical order, plus the true
+	// total match count; limit <= 0 means unlimited.
 	LookupN(q Pattern, limit int) (facts []Fact, total int)
-}
-
-// FactCursor pulls matching facts one at a time, in canonical order.
-// Next returns false when the stream is exhausted; cursors are
-// single-consumer and not safe for concurrent use (create one per
-// consumer — creation is cheap, the underlying store is shared).
-type FactCursor interface {
-	Next() (Fact, bool)
-}
-
-// Iterator is the optional streaming read: Iterate pushes every fact
-// matching q, in the order Lookup would return them, without allocating
-// a result slice. The datalog executor (internal/datalog) type-asserts
-// for it on the hot probe path; queriers that lack it fall back to
-// Lookup with identical output.
-type Iterator interface {
-	// Iterate calls yield for each match until yield returns false;
-	// reports whether the walk completed.
+	// Iterate calls yield for each fact matching q, in the order LookupN
+	// returns them, until yield returns false; it reports whether the
+	// walk completed. No result slice is allocated.
 	Iterate(q Pattern, yield func(Fact) bool) bool
-}
-
-// CountEstimator is the optional selectivity oracle: CountEstimate
-// returns an upper bound on the matches for q straight from the
-// postings-list lengths, in O(1) and with zero allocation. It powers the
-// datalog planner's greedy clause ordering — statistics-free in the
-// janus-datalog sense, because the index is the statistic.
-type CountEstimator interface {
+	// CountEstimate returns an upper bound on the matches for q in O(1),
+	// straight from postings-list lengths. It is exact for patterns that
+	// set only Entity.
 	CountEstimate(q Pattern) int
 }
 
-// Selector is the optional pull-based read: Select opens a cursor over
-// the matches for q. The datalog executor uses it to batch the first
-// clause's stream for deterministic parallel execution.
-type Selector interface {
-	Select(q Pattern) FactCursor
-}
-
 var (
-	_ LimitedQuerier = (*Store)(nil)
-	_ LimitedQuerier = (*Sharded)(nil)
-
-	_ Iterator       = (*Store)(nil)
-	_ Iterator       = (*Sharded)(nil)
-	_ CountEstimator = (*Store)(nil)
-	_ CountEstimator = (*Sharded)(nil)
-	_ Selector       = (*Store)(nil)
-	_ Selector       = (*Sharded)(nil)
+	_ Querier = (*Store)(nil)
+	_ Querier = (*Sharded)(nil)
+	_ Querier = (*chaosQuerier)(nil)
 )

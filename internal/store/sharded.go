@@ -26,8 +26,8 @@ func ShardOf(entity string, n int) int {
 
 // Sharded partitions the fused KB by entity hash into independent
 // Stores, each with its own postings-list indexes. It implements Querier
-// with the exact semantics of one big Store — Lookup results are
-// byte-identical, ordering included — while bounding per-shard index
+// with the exact semantics of one big Store — LookupN and Iterate results
+// are byte-identical, ordering included — while bounding per-shard index
 // size and creating the seam for multi-process deployment: a shard is
 // self-contained, so peeling one onto another machine changes routing,
 // not semantics.
@@ -126,20 +126,6 @@ func (s *Sharded) Triples(entity, attr string) []Fact {
 	return s.shards[ShardOf(entity, len(s.shards))].Triples(entity, attr)
 }
 
-// Lookup answers a query with output byte-identical to the equivalent
-// single Store's Lookup. Entity-constrained queries route to one shard;
-// everything else scatter-gathers and merges.
-func (s *Sharded) Lookup(q Pattern) []Fact {
-	if q.Entity != "" {
-		return s.shards[ShardOf(q.Entity, len(s.shards))].Lookup(q)
-	}
-	lists := make([][]Fact, len(s.shards))
-	for i, sh := range s.shards {
-		lists[i] = sh.Lookup(q)
-	}
-	return mergeFacts(lists, -1)
-}
-
 // LookupN answers a query with at most limit facts plus the true total,
 // identical to what the equivalent single Store's LookupN returns. The
 // scatter passes the limit down to every shard: the global first-limit
@@ -167,28 +153,49 @@ func (s *Sharded) LookupN(q Pattern, limit int) (out []Fact, total int) {
 
 // Iterate streams the facts matching q in global canonical order, like
 // Store.Iterate. Entity-constrained patterns stream straight off one
-// shard; everything else merges the per-shard cursors lazily, so no
-// shard's result set is materialised.
+// shard; everything else k-way merges one cursor per shard lazily, so no
+// shard's result set is materialised. The merge compares with factLess
+// alone, which is deterministic because identity keys pin entities to
+// shards (see mergeFacts), and picks the minimum by a linear pass: at
+// the 8–64 shard counts this store runs at that beats heap bookkeeping.
 func (s *Sharded) Iterate(q Pattern, yield func(Fact) bool) bool {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].Iterate(q, yield)
 	}
-	cur := s.Select(q)
+	type stream struct {
+		cur  cursor
+		head Fact
+		ok   bool
+	}
+	streams := make([]stream, len(s.shards))
+	for i, sh := range s.shards {
+		st := &streams[i]
+		st.cur = sh.cursor(q)
+		st.head, st.ok = st.cur.next()
+	}
 	for {
-		f, ok := cur.Next()
-		if !ok {
+		best := -1
+		for i := range streams {
+			if streams[i].ok && (best < 0 || factLess(streams[i].head, streams[best].head)) {
+				best = i
+			}
+		}
+		if best < 0 {
 			return true
 		}
-		if !yield(f) {
+		st := &streams[best]
+		if !yield(st.head) {
 			return false
 		}
+		st.head, st.ok = st.cur.next()
 	}
 }
 
 // CountEstimate returns an upper bound on the matches for q: one shard's
 // estimate for entity-constrained patterns, the sum of every shard's
 // otherwise. Like Store.CountEstimate it reads postings-list lengths
-// only — no statistics catalog, no scan.
+// only — no statistics catalog, no scan — and is exact for patterns that
+// set only Entity.
 func (s *Sharded) CountEstimate(q Pattern) int {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].CountEstimate(q)
@@ -200,56 +207,8 @@ func (s *Sharded) CountEstimate(q Pattern) int {
 	return total
 }
 
-// Select returns a pull cursor over the facts matching q in global
-// canonical order: one shard's cursor when the pattern names an entity, a
-// lazy k-way merge of every shard's cursor otherwise. Merging compares
-// with factLess alone, which is deterministic because identity keys pin
-// entities to shards (see mergeFacts).
-func (s *Sharded) Select(q Pattern) FactCursor {
-	if q.Entity != "" {
-		return s.shards[ShardOf(q.Entity, len(s.shards))].Select(q)
-	}
-	m := &mergeCursor{
-		cursors: make([]FactCursor, len(s.shards)),
-		heads:   make([]Fact, len(s.shards)),
-		ok:      make([]bool, len(s.shards)),
-	}
-	for i, sh := range s.shards {
-		m.cursors[i] = sh.Select(q)
-		m.heads[i], m.ok[i] = m.cursors[i].Next()
-	}
-	return m
-}
-
-// mergeCursor k-way merges per-shard cursors, pulling one fact ahead per
-// shard. Linear minimum selection over the shard count beats heap
-// bookkeeping at the 8–64 shard sizes this store runs at.
-type mergeCursor struct {
-	cursors []FactCursor
-	heads   []Fact
-	ok      []bool
-}
-
-func (m *mergeCursor) Next() (Fact, bool) {
-	best := -1
-	for i := range m.cursors {
-		if !m.ok[i] {
-			continue
-		}
-		if best < 0 || factLess(m.heads[i], m.heads[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Fact{}, false
-	}
-	f := m.heads[best]
-	m.heads[best], m.ok[best] = m.cursors[best].Next()
-	return f, true
-}
-
 // Scan answers a query by brute force over every shard, merged; the
-// reference semantics for Sharded.Lookup, mirroring Store.Scan.
+// reference semantics for Sharded.LookupN, mirroring Store.Scan.
 func (s *Sharded) Scan(q Pattern) []Fact {
 	lists := make([][]Fact, len(s.shards))
 	for i, sh := range s.shards {
@@ -302,5 +261,3 @@ func mergeFacts(lists [][]Fact, limit int) []Fact {
 	}
 	return out
 }
-
-var _ Querier = (*Sharded)(nil)

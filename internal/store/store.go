@@ -56,10 +56,10 @@ type Fact struct {
 // match the accepted value verbatim — the semantics a join needs when a
 // variable binding is substituted into the value position.
 //
-// Pattern is the one query currency of the read path: Lookup/LookupN/
-// Iterate/Select on Store and Sharded, the /v1/query URL-parameter
-// adapter in internal/serve, and every clause of a datalog query
-// (internal/datalog) all speak it.
+// Pattern is the one query currency of the read path: every Querier
+// method that takes a pattern, the /v1/query URL-parameter adapter in
+// internal/serve, and every clause of a datalog query (internal/datalog)
+// all speak it.
 type Pattern struct {
 	Entity string
 	Attr   string
@@ -69,13 +69,6 @@ type Pattern struct {
 	// with no hierarchical generalisation match.
 	Exact bool
 }
-
-// Query is the former name of Pattern.
-//
-// Deprecated: use Pattern. The type was renamed when the read surface
-// grew multi-clause datalog queries, where "query" means a conjunction of
-// patterns rather than one of them.
-type Query = Pattern
 
 // Store is the immutable, indexed snapshot. All methods are safe for
 // unsynchronised concurrent use: nothing is written after New returns.
@@ -377,7 +370,9 @@ func (s *Store) Iterate(q Pattern, yield func(Fact) bool) bool {
 // pattern. No statistics catalog backs it: the indexes that answer the
 // query are themselves the statistic, which is exactly what the datalog
 // planner's greedy clause ordering needs (estimates that are free,
-// deterministic and never stale).
+// deterministic and never stale). For a pattern that sets only Entity
+// the estimate is exact: the by-entity postings leave no residual
+// filter, so it doubles as an allocation-free existence test.
 func (s *Store) CountEstimate(q Pattern) int {
 	cand, _, all := s.candidates(q)
 	if all {
@@ -386,28 +381,32 @@ func (s *Store) CountEstimate(q Pattern) int {
 	return len(cand)
 }
 
-// Select returns a pull cursor over the facts matching q, in canonical
-// order — the same sequence Lookup materialises and Iterate pushes.
-// Cursors let a consumer interleave several streams (the sharded store's
-// k-way merge, the datalog executor's batch dispatcher) without buffering
-// whole relations.
-func (s *Store) Select(q Pattern) FactCursor {
-	cand, rest, all := s.candidates(q)
-	if all {
-		return &sliceCursor{facts: s.facts}
-	}
-	return &postingsCursor{facts: s.facts, cand: cand, rest: rest}
-}
-
-// postingsCursor walks one postings list applying the residual filter.
-type postingsCursor struct {
+// cursor is a pull stream over the facts matching one pattern in one
+// store, in canonical order — the same sequence Iterate pushes. The
+// sharded store's k-way merge interleaves one cursor per shard without
+// buffering any shard's result set.
+type cursor struct {
 	facts []Fact
 	cand  []int32
 	rest  Pattern
+	all   bool
 	pos   int
 }
 
-func (c *postingsCursor) Next() (Fact, bool) {
+func (s *Store) cursor(q Pattern) cursor {
+	cand, rest, all := s.candidates(q)
+	return cursor{facts: s.facts, cand: cand, rest: rest, all: all}
+}
+
+// next returns the following match, or false once the stream is done.
+func (c *cursor) next() (Fact, bool) {
+	if c.all {
+		if c.pos >= len(c.facts) {
+			return Fact{}, false
+		}
+		c.pos++
+		return c.facts[c.pos-1], true
+	}
 	for c.pos < len(c.cand) {
 		f := c.facts[c.cand[c.pos]]
 		c.pos++
@@ -416,21 +415,6 @@ func (c *postingsCursor) Next() (Fact, bool) {
 		}
 	}
 	return Fact{}, false
-}
-
-// sliceCursor walks a fact slice that needs no filtering.
-type sliceCursor struct {
-	facts []Fact
-	pos   int
-}
-
-func (c *sliceCursor) Next() (Fact, bool) {
-	if c.pos >= len(c.facts) {
-		return Fact{}, false
-	}
-	f := c.facts[c.pos]
-	c.pos++
-	return f, true
 }
 
 // gather materialises the facts at the candidate positions that survive
